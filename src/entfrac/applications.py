@@ -13,7 +13,7 @@ from .concurrence import concurrence
 from .errors import DimensionMismatchError, IdentityCheckError, OutOfRangeError
 from .fef import fully_entangled_fraction, magic_overlap_matrix
 from .linalg import I2, X, Y, Z, kron, single_qubit_unitary
-from .optimize import SearchBudget, nelder_mead
+from .optimize import SearchBudget, multistart_max, start_points
 from .states import MAGIC, PHI1, check_density
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -60,33 +60,6 @@ def dense_coding_fidelity(rho: np.ndarray) -> float:
         sent = u @ rho @ u.conj().T
         total += float((target.conj() @ sent @ target).real)
     return total / 4.0
-
-
-def dense_coding_max_numeric(rho: np.ndarray, budget: SearchBudget | None = None) -> float:
-    """Maximum of dense_coding_fidelity over local changes of the shared state.
-
-    Multi-start simplex over the six angles of U1 x U2 conjugation; agrees
-    with the fully entangled fraction within optimizer tolerance, since the
-    encoding average is the |Phi1> overlap and conjugation sweeps that over
-    all maximally entangled targets.
-    """
-    rho = _require_two_qubit(rho)
-    budget = budget or SearchBudget()
-
-    def neg(p):
-        u = kron(single_qubit_unitary(*p[:3]), single_qubit_unitary(*p[3:]))
-        return -dense_coding_fidelity(u @ rho @ u.conj().T)
-
-    rng = np.random.default_rng(budget.seed)
-    starts = [np.zeros(6)]
-    while len(starts) < budget.starts:
-        starts.append(rng.uniform(0.0, 2 * np.pi, 6))
-    best = -np.inf
-    for x0 in starts:
-        # six parameters need a deeper simplex than the three-angle searches
-        _, fx = nelder_mead(neg, x0, step=0.5, maxiter=2 * budget.maxiter)
-        best = max(best, -fx)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +140,6 @@ def swapping_fidelity(rho: np.ndarray) -> float:
     """Outcome-combined swapping fidelity: sum of the probability-weighted
     target overlaps.  Collapses to <Phi1|rho|Phi1>."""
     return sum(overlap for _, overlap in swapping_outcomes(rho))
-
-
-def swapping_fidelity_unweighted(rho: np.ndarray) -> float:
-    """Plain mean of the four normalized outcome fidelities, for comparison
-    with the weighted combination; zero-probability outcomes contribute 0.
-    Carries no closed-form contract."""
-    total = 0.0
-    for prob, overlap in swapping_outcomes(rho):
-        if prob > 1e-14:
-            total += overlap / prob
-    return total / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +226,6 @@ def bell_max(rho: np.ndarray, mode: str = "angles", budget: SearchBudget | None 
     """
     rho = _require_two_qubit(rho)
     budget = budget or SearchBudget()
-    rng = np.random.default_rng(budget.seed)
-    best = -np.inf
     if mode == "angles":
         t = _zx_correlations(rho)
         t00, t01 = float(t[0, 0]), float(t[0, 1])
@@ -280,21 +240,15 @@ def bell_max(rho: np.ndarray, mode: str = "angles", budget: SearchBudget | None 
             a, b = d.tolist()
             return -_chsh_unit(t00, t01, t10, t11, a, a + half, b + three_q, b + quarter)
 
-        starts = [np.zeros(2)]  # right-handed at (0,0) is exactly canonical
-        while len(starts) < budget.starts:
-            starts.append(rng.uniform(0.0, 2 * np.pi, 2))
-        for i, x0 in enumerate(starts):
-            # each handedness branch is a single-frequency sinusoid of the
-            # frame angles, so one polish per branch is already exact; extra
-            # starts alternate branches as pure insurance
-            if i < 2:
-                branches = (neg_right, neg_left)
-            else:
-                branches = (neg_right,) if i % 2 == 0 else (neg_left,)
-            for neg in branches:
-                _, fx = nelder_mead(neg, x0, step=0.5, maxiter=budget.maxiter)
-                best = max(best, -fx)
-        return best
+        # right-handed at (0,0) is exactly canonical
+        starts = start_points([np.zeros(2)], budget.starts, budget.seed)
+        # each handedness branch is a single-frequency sinusoid of the frame
+        # angles, so one polish per branch is already exact; the first two
+        # starts run both branches, extra starts alternate as pure insurance
+        return max(
+            multistart_max(neg_right, starts[:2] + starts[2::2], maxiter=budget.maxiter),
+            multistart_max(neg_left, starts[:2] + starts[3::2], maxiter=budget.maxiter),
+        )
     if mode == "local_unitaries":
         t = _full_correlations(rho)
         t00, t01, t02, t10, t11, t12, t20, t21, t22 = (float(x) for x in t.ravel())
@@ -313,14 +267,9 @@ def bell_max(rho: np.ndarray, mode: str = "angles", budget: SearchBudget | None 
             )
             return -math.sqrt(2.0) * abs(s)
 
-        starts = [np.zeros(6)]
-        while len(starts) < budget.starts:
-            starts.append(rng.uniform(0.0, 2 * np.pi, 6))
-        for x0 in starts:
-            # six parameters need a deeper simplex than the three-angle searches
-            _, fx = nelder_mead(neg, x0, step=0.5, maxiter=2 * budget.maxiter)
-            best = max(best, -fx)
-        return best
+        starts = start_points([np.zeros(6)], budget.starts, budget.seed)
+        # six parameters need a deeper simplex than the three-angle searches
+        return multistart_max(neg, starts, maxiter=2 * budget.maxiter)
     raise OutOfRangeError(f"unknown bell_max mode {mode!r}")
 
 
@@ -341,15 +290,8 @@ def bell_max_free_angles(rho: np.ndarray, budget: SearchBudget | None = None) ->
     def neg(p):
         return -_chsh_from_zx(t, p[0], p[1], p[2], p[3])
 
-    rng = np.random.default_rng(budget.seed)
-    starts = [np.array(CANONICAL_ANGLES)]
-    while len(starts) < budget.starts:
-        starts.append(rng.uniform(0.0, 2 * np.pi, 4))
-    best = -np.inf
-    for x0 in starts:
-        _, fx = nelder_mead(neg, x0, step=0.5, maxiter=budget.maxiter)
-        best = max(best, -fx)
-    return best
+    starts = start_points([CANONICAL_ANGLES], budget.starts, budget.seed)
+    return multistart_max(neg, starts, maxiter=budget.maxiter)
 
 
 def bell_angles_analytic(rho: np.ndarray) -> float:
@@ -389,16 +331,10 @@ def _max_ket_overlap(psi: np.ndarray, base: np.ndarray, budget: SearchBudget) ->
         amp = psi.conj() @ (u @ base)
         return -float(amp.real * amp.real + amp.imag * amp.imag)
 
-    rng = np.random.default_rng(budget.seed)
     # identity and a double bit flip cover both computational-basis optima
-    starts = [np.zeros(6), np.array([np.pi, 0.0, 0.0, np.pi, 0.0, 0.0])]
-    while len(starts) < max(budget.starts, 2):
-        starts.append(rng.uniform(0.0, 2 * np.pi, 6))
-    best = -np.inf
-    for x0 in starts:
-        _, fx = nelder_mead(neg, x0, step=0.5, maxiter=2 * budget.maxiter)
-        best = max(best, -fx)
-    return best
+    fixed = [np.zeros(6), [np.pi, 0.0, 0.0, np.pi, 0.0, 0.0]]
+    starts = start_points(fixed, budget.starts, budget.seed)
+    return multistart_max(neg, starts, maxiter=2 * budget.maxiter)
 
 
 def fiducial_gap(theta: float, budget: SearchBudget | None = None) -> float:
@@ -442,44 +378,31 @@ class AnalysisReport:
     b_max_unitaries: float
 
 
-def analyze_state(
-    rho: np.ndarray,
-    budget: SearchBudget | None = None,
-    *,
-    simulate: bool = True,
-) -> AnalysisReport:
-    """Full report for one valid state.
+def analyze_state(rho: np.ndarray, budget: SearchBudget | None = None) -> AnalysisReport:
+    """Full report for one valid two-qubit (4x4) state.
 
-    With simulate=True the three protocol simulations actually run and their
-    closed-form reductions are asserted; a mismatch raises IdentityCheckError,
-    which signals a bug rather than a property of the state.  simulate=False
-    fills the protocol fidelities from the reductions directly (bulk
-    sampling path).
+    The three protocol simulations actually run and their closed-form
+    reductions are asserted; a mismatch raises IdentityCheckError, which
+    signals a bug rather than a property of the state.
     """
-    check_density(rho)
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_density(rho, dim=4)
     budget = budget or SearchBudget()
     fr = fully_entangled_fraction(rho)
     c = concurrence(rho).c
     v = _phi1_overlap(rho)
     b_can = bell_canonical(rho)
-    if simulate:
-        f_dc = dense_coding_fidelity(rho)
-        f_t = teleportation_fidelity(rho)
-        f_es = swapping_fidelity(rho)
-        checks = (
-            ("dense coding reduction", f_dc, v, 1e-12),
-            ("teleportation reduction", f_t, (1.0 + 2.0 * v) / 3.0, 1e-10),
-            ("swapping reduction", f_es, v, 1e-12),
-            ("canonical CHSH closed form", bell_chsh(rho, *CANONICAL_ANGLES), b_can, 1e-12),
-        )
-        for name, got, want, tol in checks:
-            if abs(got - want) > tol:
-                raise IdentityCheckError(f"{name} deviates by {abs(got - want):.3e}")
-    else:
-        f_dc = v
-        f_t = (1.0 + 2.0 * v) / 3.0
-        f_es = v
+    f_dc = dense_coding_fidelity(rho)
+    f_t = teleportation_fidelity(rho)
+    f_es = swapping_fidelity(rho)
+    checks = (
+        ("dense coding reduction", f_dc, v, 1e-12),
+        ("teleportation reduction", f_t, (1.0 + 2.0 * v) / 3.0, 1e-10),
+        ("swapping reduction", f_es, v, 1e-12),
+        ("canonical CHSH closed form", bell_chsh(rho, *CANONICAL_ANGLES), b_can, 1e-12),
+    )
+    for name, got, want, tol in checks:
+        if abs(got - want) > tol:
+            raise IdentityCheckError(f"{name} deviates by {abs(got - want):.3e}")
     return AnalysisReport(
         f=fr.f,
         e=fr.e,

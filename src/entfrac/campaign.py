@@ -8,6 +8,7 @@ byte-identical output for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -119,7 +120,7 @@ def run_campaign(
         raise OutOfRangeError(f"workers must be >= 1, got {workers}")
     if budget is None:
         budget = SAMPLER_BUDGET
-    workers = min(workers, count)
+    workers = min(workers, count, os.cpu_count() or 1)
     if workers == 1:
         return _chunk_records((family, seed, 0, count, budget))
     edges = [count * k // workers for k in range(workers + 1)]

@@ -8,8 +8,10 @@ Commands (selected with --command):
   ddim     d-level identity subset and numeric-fef spot checks
 
 Exit codes: analyze uses 2 (unparseable input), 3 (density invariant
-violated), 4 (internal identity mismatch); sample/fig2 use 5 (bound check
-failed); verify/ddim use 1 (identity failures); 0 means success.
+violated, including non-finite entries and any shape but 4x4), 4 (internal
+identity mismatch); sample/fig2 use 5 (bound check failed); verify/ddim use
+1 (identity failures); 0 means success.  A --seed outside [0, 2^64) is a
+usage error, exit 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import campaign
 from .applications import analyze_state
 from .errors import DensityMatrixError, EntfracError, IdentityCheckError
 from .optimize import SearchBudget
-from .states import load_density_json
+from .states import SEED_LIMIT, load_density_json
 from .verify import format_report, run_ddim_suite, run_identity_suite
 
 EXIT_OK = 0
@@ -113,6 +115,8 @@ def parse_config(argv) -> RunConfig:
             count = 10
     if count < 1:
         parser.error(f"--count must be >= 1, got {count}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
     if args.command == "analyze" and not args.input:
         parser.error("--command analyze requires --in")
     if args.command == "fig2" and not args.output:
@@ -149,17 +153,24 @@ def _report_text(report, fmt: str) -> str:
     return header + "\n" + row + "\n"
 
 
+def _invalid_state(exc: DensityMatrixError) -> int:
+    print(f"invalid state: violated invariant(s): {', '.join(exc.violations)}", file=sys.stderr)
+    return EXIT_INVARIANT
+
+
 def _cmd_analyze(config: RunConfig) -> int:
     try:
         rho = load_density_json(config.input_path)
     except DensityMatrixError as exc:
-        print(f"invalid state: violated invariant(s): {', '.join(exc.violations)}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return _invalid_state(exc)
     except (OSError, ValueError) as exc:
         print(f"cannot read {config.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        # a valid state of any other dimension fails here, on shape
         report = analyze_state(rho, budget=config.budget)
+    except DensityMatrixError as exc:
+        return _invalid_state(exc)
     except IdentityCheckError as exc:
         print(f"internal identity mismatch: {exc}", file=sys.stderr)
         return EXIT_IDENTITY_MISMATCH

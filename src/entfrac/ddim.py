@@ -14,7 +14,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import kron, partial_trace
-from .optimize import SearchBudget, nelder_mead
+from .optimize import SearchBudget, multistart_max, start_points
 
 # Pair dimension cap: desk-scale verification, 16-dimensional total space.
 D_LIMIT = 4
@@ -180,17 +180,10 @@ def fef_numeric_d(rho: np.ndarray, budget: SearchBudget | None = None) -> float:
         ket = entangled_ket_d(unitary_from_params(p, d))
         return -float((ket.conj() @ rho @ ket).real)
 
-    rng = np.random.default_rng(budget.seed)
     # start count scales with the parameter space: budget.starts * d^2 / 2
     nstarts = max(2, budget.starts * d * d // 2)
-    starts = [np.zeros(d * d)]
-    while len(starts) < nstarts:
-        starts.append(rng.uniform(-np.pi, np.pi, d * d))
-    best = -np.inf
-    for x0 in starts:
-        _, fx = nelder_mead(neg, x0, step=0.5, maxiter=2 * budget.maxiter)
-        best = max(best, -fx)
-    return best
+    starts = start_points([np.zeros(d * d)], nstarts, budget.seed, -np.pi, np.pi)
+    return multistart_max(neg, starts, maxiter=2 * budget.maxiter)
 
 
 def teleport_max_d(f: float, d: int) -> float:

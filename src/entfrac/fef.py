@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IdentityCheckError
 from .linalg import hermitian_eig, single_qubit_unitary
-from .optimize import SearchBudget, nelder_mead
+from .optimize import SearchBudget, multistart_max, start_points
 from .states import MAGIC
 
 
@@ -44,12 +44,13 @@ def fully_entangled_fraction(rho: np.ndarray) -> FefResult:
 
     F is the largest eigenvalue of the magic overlap matrix and x its unit
     eigenvector; within a degenerate top eigenspace any maximizer may be
-    returned.  F >= 1/4 always (the four diagonal overlaps sum to 1).
+    returned.  F >= Tr(rho)/4 always (the four diagonal overlaps sum to the
+    trace), so F >= 1/4 for a unit-trace state.
     """
     m = magic_overlap_matrix(rho)
     w, v = hermitian_eig(m)
     f = float(w[0])
-    if f < 0.25 - 1e-12:
+    if f < np.trace(m) / 4.0 - 1e-12:
         raise IdentityCheckError(f"fully entangled fraction {f} below 1/4")
     x = np.asarray(v[:, 0].real, dtype=float)
     x = x / np.linalg.norm(x)
@@ -128,23 +129,6 @@ def fef_oracle_sphere(rho: np.ndarray, budget: SearchBudget | None = None) -> fl
     return max(scan, _jacobi_top(m, budget.sweeps))
 
 
-def fef_oracle_power(rho: np.ndarray, *, iters: int = 500) -> float:
-    """Second independent sphere maximizer: shifted simultaneous power iteration.
-
-    Iterates M + I on all four basis vectors at once (at least one has overlap
-    >= 1/2 with the top eigenvector) and reports the best Rayleigh quotient.
-    Linear convergence only, so expect ~1e-6 accuracy near-degeneracy, not 1e-9.
-    """
-    m = magic_overlap_matrix(rho)
-    shifted = m + np.eye(4)
-    x = np.eye(4)
-    for _ in range(iters):
-        x = shifted @ x
-        x /= np.linalg.norm(x, axis=0)
-    rayleigh = ((m @ x) * x).sum(axis=0)
-    return float(np.max(rayleigh))
-
-
 def entangled_ket_from_unitary(u: np.ndarray) -> np.ndarray:
     """(1 x U)|Phi1> for a single-qubit U acting on Alice's (second) factor."""
     return np.asarray(u, dtype=complex).T.ravel() / np.sqrt(2.0)
@@ -166,13 +150,5 @@ def fef_oracle_unitary(rho: np.ndarray, budget: SearchBudget | None = None) -> f
         w = entangled_ket_from_unitary(u)
         return -float((w.conj() @ rho @ w).real)
 
-    rng = np.random.default_rng(budget.seed)
-    best = -np.inf
-    starts = [np.array([np.pi / 2, np.pi / 2, np.pi / 2])]
-    while len(starts) < budget.starts:
-        starts.append(rng.uniform(0.0, 2 * np.pi, 3))
-    for x0 in starts:
-        _, fx = nelder_mead(neg_overlap, x0, step=0.4, maxiter=budget.maxiter)
-        if -fx > best:
-            best = -fx
-    return best
+    starts = start_points([[np.pi / 2, np.pi / 2, np.pi / 2]], budget.starts, budget.seed)
+    return multistart_max(neg_overlap, starts, step=0.4, maxiter=budget.maxiter)

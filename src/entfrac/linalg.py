@@ -29,11 +29,6 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices (dimensions multiply)."""
     a = np.asarray(a, dtype=complex)
@@ -49,25 +44,23 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eig(
-    m: np.ndarray, *, symmetrize: bool = False, tol: float = HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray, *, symmetrize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` real and sorted descending and
     ``v[:, k]`` the orthonormal eigenvector for ``w[k]``.  The input must be
-    Hermitian within ``tol`` (largest deviation of ``m - m^dagger``); pass
-    ``symmetrize=True`` to replace ``m`` by ``(m + m^dagger)/2`` instead of
-    raising.  Within a degenerate eigenspace the eigenvector choice is
-    arbitrary beyond orthonormality.
+    Hermitian within ``HERMITICITY_TOL`` (largest deviation of
+    ``m - m^dagger``); pass ``symmetrize=True`` to replace ``m`` by
+    ``(m + m^dagger)/2`` instead of raising.  Within a degenerate eigenspace
+    the eigenvector choice is arbitrary beyond orthonormality.
     """
     m = _check_square(m)
     if symmetrize:
         m = (m + m.conj().T) / 2
     else:
         defect = hermiticity_defect(m)
-        if defect > tol:
-            raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+        if defect > HERMITICITY_TOL:
+            raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -76,17 +69,17 @@ def hermitian_eig(
     return w[order].real, v[:, order]
 
 
-def psd_sqrt(m: np.ndarray, *, neg_tol: float = 1e-8) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
-    Eigenvalues below ``-neg_tol`` raise ``NotPsdError``.  Eigenvalues within
+    Eigenvalues below -1e-8 raise ``NotPsdError``.  Eigenvalues within
     1e-14 of zero relative to the largest are roundoff (sqrt would amplify
     them to 1e-7-scale noise in null directions) and are zeroed, which keeps
     rank-deficient inputs exactly rank-deficient.
     """
     w, v = hermitian_eig(m)
-    if w[-1] < -neg_tol:
-        raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -{neg_tol:.1e}")
+    if w[-1] < -1e-8:
+        raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -1.0e-08")
     w = np.clip(w, 0.0, None)
     if w[0] > 0:
         w[w < 1e-14 * w[0]] = 0.0

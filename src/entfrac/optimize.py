@@ -6,7 +6,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
 
@@ -38,26 +38,15 @@ class SearchBudget:
             return cls()
         return cls(starts=16, maxiter=300, grid=(24, 24, 48), sweeps=60)
 
-    def with_seed(self, seed: int) -> "SearchBudget":
-        return replace(self, seed=seed)
 
-
-def nelder_mead(
-    f,
-    x0,
-    *,
-    step: float = 0.5,
-    maxiter: int = 200,
-    xatol: float = 1e-8,
-    fatol: float = 1e-10,
-):
+def nelder_mead(f, x0, *, step: float = 0.5, maxiter: int = 200):
     """Minimize ``f`` from ``x0`` with the Nelder-Mead simplex method.
 
     Returns ``(x_best, f_best)``.  Fully deterministic: the initial simplex is
     ``x0`` plus ``step`` along each coordinate, and ties are broken by stable
-    sorting.  Convergence is declared when the simplex collapses below
-    ``xatol`` in every coordinate and the function spread falls below
-    ``fatol``; hitting ``maxiter`` returns the best point seen so far.
+    sorting.  Convergence is declared when the simplex collapses below 1e-8
+    in every coordinate and the function spread falls below 1e-10; hitting
+    ``maxiter`` returns the best point seen so far.
     """
     # The simplex is kept as lists of Python floats: on 1 to 9 parameters,
     # numpy's per-call overhead would cost more than the arithmetic.  Each
@@ -80,8 +69,8 @@ def nelder_mead(
 
     for _ in range(maxiter):
         best_x = simplex[0]
-        if fvals[-1] - fvals[0] <= fatol and all(
-            abs(a - b) <= xatol for p in simplex[1:] for a, b in zip(p, best_x)
+        if fvals[-1] - fvals[0] <= 1e-10 and all(
+            abs(a - b) <= 1e-8 for p in simplex[1:] for a, b in zip(p, best_x)
         ):
             break
         worst = simplex.pop()
@@ -123,3 +112,18 @@ def nelder_mead(
         fvals.insert(k, fnew)
 
     return np.array(simplex[0]), fvals[0]
+
+
+def start_points(fixed, count: int, seed: int, low: float = 0.0, high: float = 2 * np.pi):
+    """The ``fixed`` starts, then uniform draws on ``[low, high)`` from
+    ``default_rng(seed)`` until there are ``count`` starts."""
+    starts = [np.asarray(x0, dtype=float) for x0 in fixed]
+    rng = np.random.default_rng(seed)
+    while len(starts) < count:
+        starts.append(rng.uniform(low, high, starts[0].size))
+    return starts
+
+
+def multistart_max(neg, starts, *, step: float = 0.5, maxiter: int) -> float:
+    """Largest ``-neg`` reached by a simplex run of ``neg`` from each start."""
+    return max(-nelder_mead(neg, x0, step=step, maxiter=maxiter)[1] for x0 in starts)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import DensityMatrixError, OutOfRangeError
-from .linalg import DIM_LIMIT, hermiticity_defect, kron, single_qubit_unitary
+from .linalg import DIM_LIMIT, hermiticity_defect, single_qubit_unitary
 
 _SQ2 = np.sqrt(2.0)
 
@@ -31,44 +31,48 @@ MAGIC.setflags(write=False)
 
 PHI1 = MAGIC[0]
 
-# Philox stream layout: key = (seed mod 2^64, stream * 2^56 + index).
+# Philox stream layout: key = (seed, stream * 2^56 + index), both uint64.
 _STREAM_DENSITY = 0
 _STREAM_UNITARY = 1
 
+#: Seeds are the first word of the Philox key: integers in [0, 2^64).
+SEED_LIMIT = 1 << 64
+
+# Tolerance of each numeric density-matrix invariant.
+_DENSITY_TOL = 1e-10
+
 
 def _rng(seed: int, index: int, stream: int = _STREAM_DENSITY) -> np.random.Generator:
+    if not 0 <= seed < SEED_LIMIT:
+        raise OutOfRangeError(f"seed {seed} outside [0, 2^64)")
     if index < 0 or index >= 1 << 56:
         raise OutOfRangeError(f"index {index} outside [0, 2^56)")
-    key = (seed % (1 << 64), (stream << 56) + index)
+    key = np.array([seed, (stream << 56) + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def density_violations(
-    m: np.ndarray,
-    *,
-    dim: int | None = None,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    psd_tol: float = 1e-10,
-) -> list[str]:
+def density_violations(m: np.ndarray, *, dim: int | None = None) -> list[str]:
     """Names of the density-matrix invariants ``m`` fails (empty list if valid).
 
-    Checked in order: shape (square, within the supported dimension, matching
-    ``dim`` when given), hermiticity, unit trace, positivity.  A shape failure
-    short-circuits the remaining checks.
+    Checked in order: finite entries, shape (square, within the supported
+    dimension, matching ``dim`` when given), hermiticity, unit trace,
+    positivity.  A finiteness or shape failure short-circuits the remaining
+    checks.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        return ["finite"]
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] > DIM_LIMIT:
         return ["shape"]
     if dim is not None and m.shape[0] != dim:
         return ["shape"]
     bad = []
-    if hermiticity_defect(m) > herm_tol:
+    if hermiticity_defect(m) > _DENSITY_TOL:
         bad.append("hermiticity")
-    if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
+    if abs(np.trace(m).real - 1.0) > _DENSITY_TOL or abs(np.trace(m).imag) > _DENSITY_TOL:
         bad.append("trace")
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if w[0] < -psd_tol:
+    if w[0] < -_DENSITY_TOL:
         bad.append("positivity")
     return bad
 
@@ -89,7 +93,10 @@ def random_density(seed: int, index: int) -> np.ndarray:
     platform.  Normalization makes the result Hermitian, unit-trace, and
     positive semidefinite by construction.
     """
-    rng = _rng(seed, index)
+    return _draw_density(_rng(seed, index))
+
+
+def _draw_density(rng: np.random.Generator) -> np.ndarray:
     while True:
         u = rng.random(32)
         t = (u[:16] + 1j * u[16:]).reshape(4, 4)
@@ -106,14 +113,13 @@ def werner(p: float) -> np.ndarray:
     return p * np.outer(PHI1, PHI1.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
-def lower_family(epsilon: float, theta: float, *, dress_seed: int | None = None) -> np.ndarray:
+def lower_family(epsilon: float, theta: float) -> np.ndarray:
     """Mixed-with-identity Schmidt state eps*I/4 + (1-eps)|psi><psi|.
 
     |psi> = cos(theta/2)|00> + sin(theta/2)|11>.  This family saturates the
     lower concurrence bound: E = C = max{0, (1-eps)sin(theta) - eps/2}.  All
     reported measures are invariant under local unitaries, so the Schmidt form
-    is used directly; pass ``dress_seed`` to conjugate by a seeded random
-    U_B (x) U_A pair when exercising that invariance.
+    is used directly.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise OutOfRangeError(f"epsilon={epsilon} outside [0, 1]")
@@ -122,12 +128,7 @@ def lower_family(epsilon: float, theta: float, *, dress_seed: int | None = None)
     psi = np.zeros(4, dtype=complex)
     psi[0] = np.cos(theta / 2)
     psi[3] = np.sin(theta / 2)
-    rho = epsilon * np.eye(4) / 4.0 + (1.0 - epsilon) * np.outer(psi, psi.conj())
-    if dress_seed is not None:
-        ua, ub = random_unitary_pair(dress_seed)
-        u = kron(ub, ua)
-        rho = u @ rho @ u.conj().T
-    return rho
+    return epsilon * np.eye(4) / 4.0 + (1.0 - epsilon) * np.outer(psi, psi.conj())
 
 
 def upper_family(zeta: float) -> np.ndarray:
@@ -154,14 +155,7 @@ def fig2_mixture(seed: int, index: int) -> tuple[np.ndarray, tuple[float, float]
     allowed wedge, up to concurrence near 1, and raises the sample mean.
     """
     rng = _rng(seed, index)
-    while True:
-        u = rng.random(32)
-        t = (u[:16] + 1j * u[16:]).reshape(4, 4)
-        g = t @ t.conj().T
-        tr = np.trace(g).real
-        if tr >= 1e-30:
-            break
-    r = g / tr
+    r = _draw_density(rng)
     zeta = float(rng.random())
     w = float(rng.random()) * 0.5
     return w * r + (1.0 - w) * upper_family(zeta), (w, zeta)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .applications import (
     CANONICAL_ANGLES,
+    _phi1_overlap,
     bell_canonical,
     bell_chsh,
     dense_coding_fidelity,
@@ -30,7 +31,7 @@ from .ddim import (
 )
 from .fef import fef_oracle_sphere, fef_oracle_unitary, fully_entangled_fraction
 from .optimize import SearchBudget
-from .states import PHI1, density_violations, lower_family, random_density, upper_family, werner
+from .states import density_violations, lower_family, random_density, upper_family, werner
 
 # numeric-search oracles are the slow half of the suite; they see at most
 # this many states regardless of --count
@@ -55,10 +56,6 @@ def _result(name, deviation, tolerance, count) -> IdentityResult:
         count=count,
         passed=bool(deviation <= tolerance),
     )
-
-
-def _base_overlap(rho) -> float:
-    return float((PHI1.conj() @ rho @ PHI1).real)
 
 
 def _random_density_d(d, seed, index):
@@ -100,7 +97,7 @@ def run_identity_suite(
 
     dev_dense = dev_tele = dev_swap = dev_bell = 0.0
     for rho in states:
-        v = _base_overlap(rho)
+        v = _phi1_overlap(rho)
         dev_dense = max(dev_dense, abs(dense_coding_fidelity(rho) - v))
         dev_tele = max(dev_tele, abs(teleportation_fidelity(rho) - (1.0 + 2.0 * v) / 3.0))
         dev_swap = max(dev_swap, abs(swapping_fidelity(rho) - v))

@@ -36,6 +36,7 @@ from entfrac.states import (
     upper_family,
     werner,
 )
+from entfrac.verify import _random_density_d
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -46,13 +47,6 @@ LEAN = dataclasses.replace(SearchBudget(), starts=2, maxiter=60)
 
 def _overlap(rho):
     return float((PHI1.conj() @ rho @ PHI1).real)
-
-
-def _random_density_d(d, seed, index):
-    rng = np.random.default_rng((seed, index, d))
-    t = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    rho = t @ t.conj().T
-    return rho / np.trace(rho).real
 
 
 def _line(report, num, ok, text):

@@ -14,10 +14,8 @@ from entfrac.applications import (
     bell_max_free_angles,
     bell_unitaries_analytic,
     dense_coding_fidelity,
-    dense_coding_max_numeric,
     fiducial_gap,
     swapping_fidelity,
-    swapping_fidelity_unweighted,
     swapping_outcomes,
     teleportation_fidelity,
 )
@@ -27,7 +25,7 @@ from entfrac.errors import (
     OutOfRangeError,
 )
 from entfrac.fef import fully_entangled_fraction
-from entfrac.linalg import X, Y, Z, kron, single_qubit_unitary
+from entfrac.linalg import X, Y, Z, single_qubit_unitary
 from entfrac.optimize import SearchBudget
 from entfrac.states import MAGIC, PHI1, fig2_mixture, random_density, werner
 
@@ -64,18 +62,6 @@ def test_dense_coding_reduction():
 def test_dense_coding_rejects_wrong_dim():
     with pytest.raises(DimensionMismatchError):
         dense_coding_fidelity(np.eye(2) / 2)
-
-
-def test_dense_coding_max_matches_fef():
-    for i in range(6):
-        rho = random_density(42, i)
-        f = fully_entangled_fraction(rho).f
-        assert abs(dense_coding_max_numeric(rho) - f) < 1e-6
-
-
-def test_dense_coding_max_separable_half():
-    got = dense_coding_max_numeric(ket_density([0, 1, 0, 0]))
-    assert abs(got - 0.5) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +127,6 @@ def test_swapping_probabilities_are_quarter():
         assert abs(sum(p for p, _ in outcomes) - 1.0) < 1e-12
         for prob, _ in outcomes:
             assert abs(prob - 0.25) < 1e-12
-
-
-def test_swapping_unweighted_variant():
-    assert abs(swapping_fidelity_unweighted(BELL) - 1.0) < 1e-12
-    for i in range(20):
-        rho = random_density(47, i)
-        u = swapping_fidelity_unweighted(rho)
-        assert 0.0 <= u <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +269,6 @@ def test_analyze_state_invariants():
         assert b <= ROOT8 + 1e-9
     assert rep.b_max_unitaries / ROOT8 <= rep.f + 1e-9
     assert rep.b_max_angles / ROOT8 <= rep.f + 1e-9
-
-
-def test_analyze_state_fast_path_matches_reductions():
-    rho = random_density(54, 1)
-    rep = analyze_state(rho, simulate=False)
-    v = phi1_overlap(rho)
-    assert abs(rep.f_dc - v) < 1e-14
-    assert abs(rep.f_t - (1 + 2 * v) / 3) < 1e-14
-    assert abs(rep.f_es - v) < 1e-14
-
-
-def test_analyze_state_simulated_agrees_with_fast_path():
-    rho = random_density(54, 2)
-    slow = analyze_state(rho)
-    fast = analyze_state(rho, simulate=False)
-    assert abs(slow.f_dc - fast.f_dc) < 1e-12
-    assert abs(slow.f_t - fast.f_t) < 1e-10
-    assert abs(slow.f_es - fast.f_es) < 1e-12
 
 
 def test_analyze_state_rejects_invalid():

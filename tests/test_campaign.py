@@ -106,3 +106,32 @@ def test_rejects_bad_arguments():
 def test_single_record_matches_campaign_row():
     rec = campaign.sample_record("fig2", 9, 4, LEAN)
     assert rec == campaign.run_campaign(5, seed=9, family="fig2")[4]
+
+
+def test_row_below_two_to_the_63_is_pinned():
+    # frozen when the Philox key became a uint64 array; key words below 2^63
+    # are the same integers as before, so the draws are too
+    rec = campaign.sample_record("raw", 2**63 - 1, 5)
+    assert campaign.record_row(rec) == (
+        "5,raw,,,0.584853108203,0.169706216407,0.19239583086,0.723235405469,"
+        "1.01503789396,1.28447299633,1,1"
+    )
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    def no_pool(max_workers):
+        # record the pool size asked for; start no process
+        sizes.append(max_workers)
+        raise RuntimeError("no processes in this test")
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
+    with pytest.raises(RuntimeError):
+        campaign.run_campaign(1000, workers=1000)
+    assert sizes == [3]
+    # an unknown core count means one worker, so no pool at all
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
+    assert len(campaign.run_campaign(2, workers=8)) == 2
+    assert sizes == [3]

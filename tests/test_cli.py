@@ -106,6 +106,31 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert run_main(["--command", "analyze", "--in", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_non_finite_entry_is_exit_3(tmp_path, capsys, bad):
+    re = (np.eye(4) / 4.0).tolist()
+    re[0][1] = bad
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"dim": 4, "re": re, "im": np.zeros((4, 4)).tolist()}))
+    assert run_main(["--command", "analyze", "--in", str(path)]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_analyze_valid_two_by_two_state_is_exit_3(tmp_path, capsys):
+    path = write_state(tmp_path / "qubit.json", np.eye(2) / 2.0)
+    assert run_main(["--command", "analyze", "--in", path]) == 3
+    assert "shape" in capsys.readouterr().err
+
+
+def test_seed_range(capsys):
+    assert cli.parse_config(["--command", "sample", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
+    for seed in ("-1", str(2**64)):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["--command", "sample", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_analyze_identity_mismatch_is_exit_4(tmp_path, monkeypatch, capsys):
     def boom(rho, budget=None):
         raise IdentityCheckError("teleportation reduction deviates by 1")

@@ -7,7 +7,6 @@ from entfrac.linalg import (
     X,
     Y,
     Z,
-    dag,
     hermitian_eig,
     hermiticity_defect,
     kron,
@@ -150,4 +149,4 @@ def test_single_qubit_unitary_is_unitary():
     for _ in range(100):
         th, ph, la = rng.uniform(0, 2 * np.pi, 3)
         u = single_qubit_unitary(th, ph, la)
-        assert np.max(np.abs(dag(u) @ u - I2)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - I2)) < 1e-12
