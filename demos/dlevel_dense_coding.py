@@ -10,13 +10,13 @@ Run:  python3 demos/dlevel_dense_coding.py
 import numpy as np
 
 from entfrac import clock_shift_unitaries, dense_coding_fidelity_d, fef_numeric_d
-from entfrac.ddim import encoding_capacity_bits, phi1_d, unitary_from_params
+from entfrac.ddim import haar_unitary, phi1_d
 
 d = 3
 phi = phi1_d(d)
 perfect = np.outer(phi, phi.conj())
 
-print(f"d = {d}: {d * d} encodings, capacity {encoding_capacity_bits(d):.3f} bits")
+print(f"d = {d}: {d * d} encodings, capacity {np.log2(d * d):.3f} bits")
 print(f"perfect pair fidelity    {dense_coding_fidelity_d(perfect):.9f}")
 
 # a noisy pair: mix the perfect state with white noise
@@ -29,8 +29,7 @@ sep[0, 0] = 1.0
 print(f"separable |00> fidelity  {dense_coding_fidelity_d(sep):.9f}  (= 1/d)")
 
 # FEF by search: a locally rotated perfect pair still scores 1
-rng = np.random.default_rng(17)
-u = unitary_from_params(rng.uniform(-np.pi, np.pi, size=d * d), d)
+u = haar_unitary(np.random.default_rng(17), d)
 ket = np.kron(np.eye(d), u) @ phi
 rotated = np.outer(ket, ket.conj())
 print(f"\nnumeric FEF, rotated perfect pair  {fef_numeric_d(rotated):.9f}")

@@ -13,15 +13,8 @@ from .applications import (
     teleportation_fidelity,
 )
 from .campaign import SampleRecord, run_campaign
-from .concurrence import BoundsCheck, ConcurrenceResult, bounds_check, concurrence
-from .ddim import (
-    GeneralMaxEntangled,
-    clock_shift_unitaries,
-    dense_coding_fidelity_d,
-    fef_numeric_d,
-    general_max_entangled,
-    teleport_max_d,
-)
+from .concurrence import ConcurrenceResult, concurrence
+from .ddim import clock_shift_unitaries, dense_coding_fidelity_d, fef_numeric_d, teleport_max_d
 from .errors import (
     DensityMatrixError,
     DimensionMismatchError,
@@ -53,13 +46,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "BoundsCheck",
     "ConcurrenceResult",
     "DensityMatrixError",
     "DimensionMismatchError",
     "EntfracError",
     "FefResult",
-    "GeneralMaxEntangled",
     "IdentityCheckError",
     "IdentityResult",
     "MAGIC",
@@ -75,7 +66,6 @@ __all__ = [
     "bell_canonical",
     "bell_chsh",
     "bell_max",
-    "bounds_check",
     "check_density",
     "clock_shift_unitaries",
     "concurrence",
@@ -87,7 +77,6 @@ __all__ = [
     "fiducial_gap",
     "fig2_mixture",
     "fully_entangled_fraction",
-    "general_max_entangled",
     "load_density_json",
     "lower_family",
     "random_density",

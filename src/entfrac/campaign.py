@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .applications import bell_canonical, bell_max
-from .concurrence import concurrence
+from .concurrence import concurrence, window_ok
 from .errors import OutOfRangeError
 from .fef import fully_entangled_fraction
 from .optimize import SearchBudget
@@ -26,8 +26,6 @@ CSV_COLUMNS = (
     "index,family,param1,param2,F,E,C,F_T_max,"
     "B_canonical,B_max_angles,lower_ok,upper_ok"
 )
-
-BOUND_TOL = 1e-9
 
 # family parameters draw from their own stream so adding a family never
 # shifts the density or unitary draws
@@ -82,6 +80,7 @@ def sample_record(family: str, seed: int, index: int, budget: SearchBudget | Non
     rho, p1, p2 = _draw_state(family, seed, index)
     fef = fully_entangled_fraction(rho)
     c = concurrence(rho).c
+    lower_ok, upper_ok = window_ok(fef.e, c)
     return SampleRecord(
         index=index,
         family=family,
@@ -93,9 +92,8 @@ def sample_record(family: str, seed: int, index: int, budget: SearchBudget | Non
         f_t_max=(1.0 + 2.0 * fef.f) / 3.0,
         b_canonical=bell_canonical(rho),
         b_max_angles=bell_max(rho, mode="angles", budget=budget),
-        # same window as concurrence.bounds_check, on the values already here
-        lower_ok=bool(fef.e <= c + BOUND_TOL),
-        upper_ok=bool(c <= (fef.e + 1.0) / 2.0 + BOUND_TOL),
+        lower_ok=lower_ok,
+        upper_ok=upper_ok,
     )
 
 

@@ -1,5 +1,5 @@
-# Spin-flip concurrence for two-qubit mixed states and the bound checks that
-# sandwich the renormalized entangled fraction between E <= C <= (E+1)/2.
+# Spin-flip concurrence for two-qubit mixed states and the window check that
+# sandwiches it against the renormalized entangled fraction, E <= C <= (E+1)/2.
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fef import fully_entangled_fraction
 from .linalg import Y, kron, hermitian_eig, psd_sqrt
 
 _YY = kron(Y, Y).real  # antidiagonal (-1, 1, 1, -1), real
@@ -46,21 +45,11 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     return ConcurrenceResult(c=float(c), lambdas=lam)
 
 
-@dataclass(frozen=True)
-class BoundsCheck:
-    e: float
-    c: float
-    lower_ok: bool
-    upper_ok: bool
+#: Tolerance of each side of the concurrence window.
+BOUND_TOL = 1e-9
 
 
-def bounds_check(rho: np.ndarray, *, tol: float = 1e-9) -> BoundsCheck:
-    """Verify the concurrence window for one state: E <= C and C <= (E+1)/2."""
-    e = fully_entangled_fraction(rho).e
-    c = concurrence(rho).c
-    return BoundsCheck(
-        e=e,
-        c=c,
-        lower_ok=bool(e <= c + tol),
-        upper_ok=bool(c <= (e + 1.0) / 2.0 + tol),
-    )
+def window_ok(e: float, c: float) -> tuple[bool, bool]:
+    """The concurrence window E <= C <= (E+1)/2, each side within BOUND_TOL:
+    ``(lower_ok, upper_ok)``."""
+    return bool(e <= c + BOUND_TOL), bool(c <= (e + 1.0) / 2.0 + BOUND_TOL)

@@ -4,7 +4,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -13,8 +13,8 @@ from .errors import (
     NonOrthonormalEncodingError,
     OutOfRangeError,
 )
-from .linalg import kron, partial_trace
-from .optimize import SearchBudget, multistart_max, start_points
+from .linalg import kron
+from .optimize import SearchBudget
 
 # Pair dimension cap: desk-scale verification, 16-dimensional total space.
 D_LIMIT = 4
@@ -44,7 +44,9 @@ def phi1_d(d: int) -> np.ndarray:
 def entangled_ket_d(u: np.ndarray) -> np.ndarray:
     """(1 x U)|Phi1_d> for a d x d unitary on the second factor."""
     u = np.asarray(u, dtype=complex)
-    return u.T.ravel() / np.sqrt(u.shape[0])
+    # math.sqrt: the same correctly rounded root as np.sqrt, without the
+    # numpy scalar that costs more than the rest on the oracles' 2x2 calls
+    return u.T.ravel() / math.sqrt(u.shape[0])
 
 
 def clock_shift_unitaries(d: int) -> list[np.ndarray]:
@@ -64,41 +66,6 @@ def clock_shift_unitaries(d: int) -> list[np.ndarray]:
         for k in range(d):
             out.append(np.linalg.matrix_power(clock, j) @ np.linalg.matrix_power(shift, k))
     return out
-
-
-@dataclass(frozen=True)
-class GeneralMaxEntangled:
-    """A maximally entangled ket of a d x d pair, carried as amplitudes of
-    (1 x U)|Phi1_d>."""
-
-    d: int
-    amplitudes: np.ndarray
-
-
-def general_max_entangled(u: np.ndarray) -> GeneralMaxEntangled:
-    """Build and validate the maximally entangled ket (1 x U)|Phi1_d>.
-
-    Checks unit norm and that both reduced states equal I/d to 1e-10, which
-    together pin the construction to an actual unitary U.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square unitary, got {u.shape}")
-    d = u.shape[0]
-    if d < 2 or d > D_LIMIT:
-        raise DimensionMismatchError(f"local dimension {d} outside 2..{D_LIMIT}")
-    ket = entangled_ket_d(u)
-    if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
-        raise OutOfRangeError("amplitudes are not unit norm; U is not unitary")
-    proj = np.outer(ket, ket.conj())
-    target = np.eye(d) / d
-    for keep in (0, 1):
-        reduced = partial_trace(proj, keep, (d, d))
-        if np.max(np.abs(reduced - target)) > 1e-10:
-            raise OutOfRangeError(
-                "reduced state deviates from I/d; ket is not maximally entangled"
-            )
-    return GeneralMaxEntangled(d=d, amplitudes=ket)
 
 
 def dense_coding_fidelity_d(
@@ -135,55 +102,56 @@ def dense_coding_fidelity_d(
     return total / (d * d)
 
 
-def encoding_capacity_bits(d: int) -> float:
-    """Classical capacity of perfect dense coding at local dimension d:
-    one of d^2 messages per use, log2(d^2) bits."""
-    if d < 2:
-        raise OutOfRangeError(f"local dimension must be >= 2, got {d}")
-    return float(2.0 * np.log2(d))
+def _polar(g: np.ndarray) -> np.ndarray:
+    """Unitary polar factor W V^dag of g = W S V^dag: the unitary closest to g,
+    and the one that maximizes Re Tr(g^dag U)."""
+    w, _, vh = np.linalg.svd(g)
+    return w @ vh
 
 
-def _hermitian_from_params(p: np.ndarray, d: int) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    idx = 0
-    for i in range(d):
-        h[i, i] = p[idx]
-        idx += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = p[idx] + 1j * p[idx + 1]
-            h[j, i] = p[idx] - 1j * p[idx + 1]
-            idx += 2
-    return h
-
-
-def unitary_from_params(p: np.ndarray, d: int) -> np.ndarray:
-    """exp(iH) for the Hermitian H packed into d^2 real parameters."""
-    w, v = np.linalg.eigh(_hermitian_from_params(np.asarray(p, dtype=float), d))
-    return (v * np.exp(1j * w)) @ v.conj().T
+def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-random d x d unitary: the polar factor of a complex Ginibre matrix
+    drawn from ``rng`` (2 d^2 normals per call)."""
+    z = rng.standard_normal((2, d, d))
+    return _polar(z[0] + 1j * z[1])
 
 
 def fef_numeric_d(rho: np.ndarray, budget: SearchBudget | None = None) -> float:
     """Numeric fully entangled fraction of a d x d state.
 
-    Maximizes <Phi1_d|(1 x U)^dag rho (1 x U)|Phi1_d> by multi-start simplex
-    over the d^2 generator parameters of U; maximizing over one local unitary
-    already reaches every maximally entangled target.  No closed form is
-    implemented beyond d=2, where this agrees with the magic-basis
-    eigenproblem within 1e-6.
+    Maximizes f(U) = <Phi1_d|(1 x U)^dag rho (1 x U)|Phi1_d> over one local
+    unitary, which already reaches every maximally entangled target, by
+    polar-factor ascent (the generalized power method of Journee, Nesterov,
+    Richtarik and Sepulchre, JMLR 11, 517 (2010)).  Each step replaces the
+    ket k by the polar factor of the reshaped gradient A k, the maximizer of
+    the linearized f; f is convex because A = rho - lambda_min(rho) I is
+    PSD, so no step lowers it.  The shift leaves the maximizer unchanged
+    (every k has unit norm), and without it the ascent stalls on states near
+    I/d^2.  Runs from Phi1_d, then from Haar unitaries drawn from
+    ``default_rng(budget.seed)``, ``budget.starts`` starts in all; each stops
+    when f no longer rises or after ``2 * budget.maxiter`` steps.  At d=2 and
+    the default budget it stays within 1e-11 of the magic-basis eigenproblem
+    on sampled and boundary-family states; no closed form is implemented
+    beyond d=2.
     """
     rho = np.asarray(rho, dtype=complex)
     d = _pair_dimension(rho)
     budget = budget or SearchBudget()
-
-    def neg(p):
-        ket = entangled_ket_d(unitary_from_params(p, d))
-        return -float((ket.conj() @ rho @ ket).real)
-
-    # start count scales with the parameter space: budget.starts * d^2 / 2
-    nstarts = max(2, budget.starts * d * d // 2)
-    starts = start_points([np.zeros(d * d)], nstarts, budget.seed, -np.pi, np.pi)
-    return multistart_max(neg, starts, maxiter=2 * budget.maxiter)
+    lam_min = float(np.linalg.eigvalsh(rho)[0])
+    a = rho - lam_min * np.eye(d * d)
+    rng = np.random.default_rng(budget.seed)
+    best = -np.inf
+    for start in range(budget.starts):
+        ket = entangled_ket_d(np.eye(d) if start == 0 else haar_unitary(rng, d))
+        f = float((ket.conj() @ a @ ket).real)
+        for _ in range(2 * budget.maxiter):
+            step = _polar((a @ ket).reshape(d, d)).ravel() / np.sqrt(d)
+            f_step = float((step.conj() @ a @ step).real)
+            if f_step <= f:
+                break
+            ket, f = step, f_step
+        best = max(best, f)
+    return best + lam_min
 
 
 def teleport_max_d(f: float, d: int) -> float:

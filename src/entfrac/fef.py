@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ddim import entangled_ket_d
 from .errors import DimensionMismatchError, IdentityCheckError
 from .linalg import hermitian_eig, single_qubit_unitary
 from .optimize import SearchBudget, multistart_max, start_points
@@ -129,11 +130,6 @@ def fef_oracle_sphere(rho: np.ndarray, budget: SearchBudget | None = None) -> fl
     return max(scan, _jacobi_top(m, budget.sweeps))
 
 
-def entangled_ket_from_unitary(u: np.ndarray) -> np.ndarray:
-    """(1 x U)|Phi1> for a single-qubit U acting on Alice's (second) factor."""
-    return np.asarray(u, dtype=complex).T.ravel() / np.sqrt(2.0)
-
-
 def fef_oracle_unitary(rho: np.ndarray, budget: SearchBudget | None = None) -> float:
     """Brute-force maximum of <Phi1|(1 x U)^dag rho (1 x U)|Phi1> over U.
 
@@ -147,7 +143,7 @@ def fef_oracle_unitary(rho: np.ndarray, budget: SearchBudget | None = None) -> f
 
     def neg_overlap(angles):
         u = single_qubit_unitary(angles[0], angles[1], angles[2])
-        w = entangled_ket_from_unitary(u)
+        w = entangled_ket_d(u)
         return -float((w.conj() @ rho @ w).real)
 
     starts = start_points([[np.pi / 2, np.pi / 2, np.pi / 2]], budget.starts, budget.seed)

@@ -86,24 +86,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def partial_trace(m: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    ``dims = (d0, d1)`` are the factor dimensions in tensor order and ``keep``
-    selects the surviving factor (0 or 1).
-    """
-    d0, d1 = dims
-    m = _check_square(m)
-    if m.shape[0] != d0 * d1:
-        raise DimensionMismatchError(f"matrix of dim {m.shape[0]} is not {d0}x{d1}")
-    t = m.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.trace(t, axis1=1, axis2=3)
-    if keep == 1:
-        return np.trace(t, axis1=0, axis2=2)
-    raise ValueError("keep must be 0 or 1")
-
-
 def single_qubit_unitary(theta: float, phi: float, lam: float) -> np.ndarray:
     """Single-qubit unitary from three angles (covers U(2) up to global phase)."""
     c = np.cos(theta / 2)

@@ -17,10 +17,11 @@ import numpy as np
 class SearchBudget:
     """Effort knobs shared by all numeric maximizers.
 
-    ``starts`` and ``maxiter`` drive the multi-start simplex searches,
-    ``grid`` is the hyperspherical scan resolution, ``sweeps`` caps the
-    rotation sweeps of the dependency-free symmetric eigensolver, and ``seed``
-    fixes the start-point stream so results are reproducible.
+    ``starts`` and ``maxiter`` drive the multi-start simplex searches and
+    the polar-factor ascent of ``ddim.fef_numeric_d``, ``grid`` is the
+    hyperspherical scan resolution, ``sweeps`` caps the rotation sweeps of
+    the dependency-free symmetric eigensolver, and ``seed`` fixes the
+    start-point stream so results are reproducible.
     """
 
     starts: int = 8
@@ -48,7 +49,7 @@ def nelder_mead(f, x0, *, step: float = 0.5, maxiter: int = 200):
     in every coordinate and the function spread falls below 1e-10; hitting
     ``maxiter`` returns the best point seen so far.
     """
-    # The simplex is kept as lists of Python floats: on 1 to 9 parameters,
+    # The simplex is kept as lists of Python floats: on 1 to 6 parameters,
     # numpy's per-call overhead would cost more than the arithmetic.  Each
     # update below is the same float operation, in the same order, as the
     # array form (the centroid sums the vertices in order, then divides), and

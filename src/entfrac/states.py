@@ -66,13 +66,20 @@ def density_violations(m: np.ndarray, *, dim: int | None = None) -> list[str]:
         return ["shape"]
     if dim is not None and m.shape[0] != dim:
         return ["shape"]
+    # No entry of a state exceeds 1 in modulus.  Checking m / scale against
+    # tolerances divided by scale keeps sums and eigenvalues of larger
+    # entries from overflowing; scale is 1, and changes nothing, for states.
+    scale = max(1.0, float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    m = m / scale
+    tol = _DENSITY_TOL / scale
     bad = []
-    if hermiticity_defect(m) > _DENSITY_TOL:
+    if hermiticity_defect(m) > tol:
         bad.append("hermiticity")
-    if abs(np.trace(m).real - 1.0) > _DENSITY_TOL or abs(np.trace(m).imag) > _DENSITY_TOL:
+    trace = np.trace(m)
+    if abs(trace.real - 1.0 / scale) > tol or abs(trace.imag) > tol:
         bad.append("trace")
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if w[0] < -_DENSITY_TOL:
+    if w[0] < -tol:
         bad.append("positivity")
     return bad
 
@@ -197,8 +204,12 @@ def load_density_json(path: str) -> np.ndarray:
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise ValueError(f"bad dim {dim!r}")
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
+    try:
+        re = np.asarray(doc["re"], dtype=float)
+        im = np.asarray(doc["im"], dtype=float)
+    except (OverflowError, TypeError) as exc:
+        # an integer beyond float range, or an entry that is no number
+        raise ValueError(f"re/im entries must be numbers in float range: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im must both be {dim}x{dim} arrays")
     m = re + 1j * im

@@ -25,9 +25,9 @@ from .ddim import (
     clock_shift_unitaries,
     dense_coding_fidelity_d,
     fef_numeric_d,
+    haar_unitary,
     phi1_d,
     teleport_max_d,
-    unitary_from_params,
 )
 from .fef import fef_oracle_sphere, fef_oracle_unitary, fully_entangled_fraction
 from .optimize import SearchBudget
@@ -197,8 +197,7 @@ def run_ddim_suite(
         dev = max(dev, abs(fef_numeric_d(rho, budget) - fully_entangled_fraction(rho).f))
     results.append(_result("numeric fef agrees with the closed form at d=2", dev, tol, n))
 
-    rng = np.random.default_rng((seed, 3))
-    u = unitary_from_params(rng.uniform(-np.pi, np.pi, size=9), 3)
+    u = haar_unitary(np.random.default_rng((seed, 3)), 3)
     phi = phi1_d(3)
     ket = np.kron(np.eye(3), u) @ phi
     rho = np.outer(ket, ket.conj())

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,26 @@ def test_analyze_non_finite_entry_is_exit_3(tmp_path, capsys, bad):
     path.write_text(json.dumps({"dim": 4, "re": re, "im": np.zeros((4, 4)).tolist()}))
     assert run_main(["--command", "analyze", "--in", str(path)]) == 3
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [10**400, {}], ids=["huge_int", "object"])
+def test_analyze_entry_out_of_float_range_is_exit_2(tmp_path, capsys, entry):
+    # a 400-digit integer overflows the float conversion; an object is no number
+    re = (np.eye(4) / 4).tolist()
+    re[0][1] = re[1][0] = entry
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 4, "re": re, "im": np.zeros((4, 4)).tolist()}))
+    assert run_main(["--command", "analyze", "--in", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_analyze_huge_indefinite_state_is_exit_3(tmp_path, capsys):
+    # finite, Hermitian and unit-trace; (m + m^dag)/2 of it would overflow
+    path = write_state(tmp_path / "huge.json", np.diag([1e308, -1e308, 0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(["--command", "analyze", "--in", path]) == 3
+    assert capsys.readouterr().err.endswith("positivity\n")
 
 
 def test_analyze_valid_two_by_two_state_is_exit_3(tmp_path, capsys):

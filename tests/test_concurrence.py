@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from entfrac.concurrence import bounds_check, concurrence, spin_flip
+from entfrac.concurrence import concurrence, spin_flip, window_ok
 from entfrac.errors import DimensionMismatchError
+from entfrac.fef import fully_entangled_fraction
 from entfrac.linalg import kron
 from entfrac.states import (
     MAGIC,
@@ -81,31 +82,42 @@ def test_concurrence_local_unitary_invariant():
         assert abs(concurrence(u @ rho @ u.conj().T).c - concurrence(rho).c) < 1e-9
 
 
+def e_and_c(rho):
+    return fully_entangled_fraction(rho).e, concurrence(rho).c
+
+
 def test_lower_family_saturates_lower_bound():
     for eps in np.linspace(0, 1, 11):
         for theta in np.linspace(0, np.pi, 11):
             rho = lower_family(eps, theta)
             expect = max(0.0, (1 - eps) * np.sin(theta) - eps / 2)
-            res = bounds_check(rho)
-            assert abs(res.e - expect) < 1e-10
-            assert abs(res.c - expect) < 1e-10
-            assert res.lower_ok and res.upper_ok
+            e, c = e_and_c(rho)
+            assert abs(e - expect) < 1e-10
+            assert abs(c - expect) < 1e-10
+            assert window_ok(e, c) == (True, True)
 
 
 def test_upper_family_saturates_upper_bound():
     for zeta in np.linspace(0, 1, 21):
-        res = bounds_check(upper_family(zeta))
-        assert abs(res.c - (1 - zeta)) < 1e-10
-        assert abs(res.e - max(0.0, 2 * res.c - 1)) < 1e-10
-        assert res.lower_ok and res.upper_ok
+        e, c = e_and_c(upper_family(zeta))
+        assert abs(c - (1 - zeta)) < 1e-10
+        assert abs(e - max(0.0, 2 * c - 1)) < 1e-10
+        assert window_ok(e, c) == (True, True)
 
 
 def test_bound_chain_random_states():
     for i in range(300):
-        res = bounds_check(random_density(34, i))
-        assert res.lower_ok and res.upper_ok
-        assert -1e-9 <= res.e <= res.c + 1e-9
-        assert res.c <= (res.e + 1) / 2 + 1e-9 <= 1 + 1e-9
+        e, c = e_and_c(random_density(34, i))
+        assert window_ok(e, c) == (True, True)
+        assert -1e-9 <= e <= c + 1e-9
+        assert c <= (e + 1) / 2 + 1e-9 <= 1 + 1e-9
+
+
+def test_window_ok_sides():
+    assert window_ok(0.5, 0.5) == (True, True)
+    assert window_ok(0.5, 0.75) == (True, True)
+    assert window_ok(0.5, 0.5 - 2e-9) == (False, True)
+    assert window_ok(0.5, 0.75 + 2e-9) == (True, False)
 
 
 def test_fig2_mixture_shifts_concurrence_upward():

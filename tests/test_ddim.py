@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from entfrac.ddim import (
-    GeneralMaxEntangled,
     clock_shift_unitaries,
     dense_coding_fidelity_d,
-    encoding_capacity_bits,
     entangled_ket_d,
     fef_numeric_d,
-    general_max_entangled,
+    haar_unitary,
     phi1_d,
     teleport_max_d,
-    unitary_from_params,
 )
 from entfrac.errors import (
     DimensionMismatchError,
@@ -32,7 +29,18 @@ def random_density_d(d, seed, index):
 
 
 def seeded_unitary(d, seed):
-    return unitary_from_params(np.random.default_rng(seed).uniform(-np.pi, np.pi, d * d), d)
+    return haar_unitary(np.random.default_rng(seed), d)
+
+
+def exp_i_hermitian(p, d):
+    """exp(iH) for the Hermitian H packed into d^2 real parameters: the
+    diagonal, then the real and imaginary parts of each upper entry."""
+    h = np.diag(np.asarray(p[:d], dtype=complex))
+    upper = np.triu_indices(d, 1)
+    h[upper] = p[d::2] + 1j * p[d + 1::2]
+    h = h + np.triu(h, 1).conj().T
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def test_phi1_d_norm_and_overlap():
@@ -52,19 +60,6 @@ def test_clock_shift_are_unitary_and_orthonormal():
         kets = np.array([entangled_ket_d(u) for u in us])
         gram = kets.conj() @ kets.T
         assert np.max(np.abs(gram - np.eye(d * d))) < 1e-12
-
-
-def test_general_max_entangled_valid():
-    for d in (2, 3):
-        g = general_max_entangled(seeded_unitary(d, 11))
-        assert isinstance(g, GeneralMaxEntangled)
-        assert g.d == d
-        assert abs(np.linalg.norm(g.amplitudes) - 1.0) < 1e-12
-
-
-def test_general_max_entangled_rejects_nonunitary():
-    with pytest.raises(OutOfRangeError):
-        general_max_entangled(np.ones((3, 3)))
 
 
 def test_dense_coding_d_reduction():
@@ -113,10 +108,10 @@ def test_dimension_cap_and_shape_checks():
         clock_shift_unitaries(5)
 
 
-def test_unitary_from_params_is_unitary():
+def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(63)
     for d in (2, 3, 4):
-        u = unitary_from_params(rng.uniform(-np.pi, np.pi, d * d), d)
+        u = haar_unitary(rng, d)
         assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
 
@@ -138,6 +133,26 @@ def test_fef_numeric_seeded_entangled_d3():
     ket = kron(np.eye(3, dtype=complex), u0) @ phi1_d(3)
     rho = np.outer(ket, ket.conj())
     assert abs(fef_numeric_d(rho) - 1.0) < 1e-6
+
+
+def test_fef_numeric_saturates_at_former_failing_ddim_seed():
+    # the rotated d=3 pair that `ddim --seed 3476410350338386778` drew with
+    # the exp(iH) parametrisation, on which the simplex stopped 9.6e-6 short
+    rng = np.random.default_rng((3476410350338386778, 3))
+    u = exp_i_hermitian(rng.uniform(-np.pi, np.pi, size=9), 3)
+    ket = kron(np.eye(3, dtype=complex), u) @ phi1_d(3)
+    assert abs(fef_numeric_d(np.outer(ket, ket.conj())) - 1.0) <= 1e-12
+
+
+def test_fef_numeric_near_maximally_mixed_d3():
+    # F((1-eps) I/9 + eps P) = (1-eps)/9 + eps F(P) for a rotated maximally
+    # entangled P; an ascent on rho itself, not rho - lambda_min I, stalls
+    # short of this
+    u = exp_i_hermitian(np.random.default_rng(67).uniform(-np.pi, np.pi, 9), 3)
+    ket = kron(np.eye(3, dtype=complex), u) @ phi1_d(3)
+    eps = 1e-3
+    rho = (1 - eps) * np.eye(9) / 9 + eps * np.outer(ket, ket.conj())
+    assert abs(fef_numeric_d(rho) - ((1 - eps) / 9 + eps)) <= 1e-9
 
 
 def test_fef_numeric_budget_monotone_and_capped():
@@ -167,10 +182,3 @@ def test_teleport_max_d_range_checks():
         teleport_max_d(1.1, 2)
     with pytest.raises(OutOfRangeError):
         teleport_max_d(0.5, 1)
-
-
-def test_capacity_note():
-    assert abs(encoding_capacity_bits(2) - 2.0) < 1e-15
-    assert abs(encoding_capacity_bits(3) - np.log2(9)) < 1e-15
-    with pytest.raises(OutOfRangeError):
-        encoding_capacity_bits(1)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from entfrac.ddim import entangled_ket_d
 from entfrac.errors import DimensionMismatchError
 from entfrac.fef import (
     FefResult,
     _jacobi_top,
-    entangled_ket_from_unitary,
     fef_oracle_sphere,
     fef_oracle_unitary,
     fully_entangled_fraction,
@@ -114,10 +114,10 @@ def test_sphere_oracle_never_exceeds():
 
 
 def test_entangled_ket_from_unitary():
-    v = entangled_ket_from_unitary(np.eye(2))
+    v = entangled_ket_d(np.eye(2))
     assert np.allclose(v, MAGIC[0])
     ua, _ = random_unitary_pair(2)
-    w = entangled_ket_from_unitary(ua)
+    w = entangled_ket_d(ua)
     assert np.allclose(w, kron(np.eye(2), ua) @ MAGIC[0], atol=1e-14)
 
 
@@ -126,7 +126,7 @@ def test_unitary_oracle_known_states():
     assert abs(fef_oracle_unitary(werner(0.5)) - 0.625) < 1e-6
     # A locally rotated Bell state still has fraction 1.
     ua, _ = random_unitary_pair(40)
-    w = entangled_ket_from_unitary(ua)
+    w = entangled_ket_d(ua)
     assert abs(fef_oracle_unitary(np.outer(w, w.conj())) - 1.0) < 1e-6
 
 

@@ -10,7 +10,6 @@ from entfrac.linalg import (
     hermitian_eig,
     hermiticity_defect,
     kron,
-    partial_trace,
     psd_sqrt,
     single_qubit_unitary,
 )
@@ -119,23 +118,6 @@ def test_psd_sqrt_reconstruction_and_clamp():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPsdError):
         psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(5)
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    m = kron(a, b)
-    assert np.allclose(partial_trace(m, 0, (2, 3)), a * np.trace(b), atol=1e-12)
-    assert np.allclose(partial_trace(m, 1, (2, 3)), b * np.trace(a), atol=1e-12)
-
-
-def test_partial_trace_bell_is_maximally_mixed():
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1 / np.sqrt(2)
-    rho = np.outer(phi, phi.conj())
-    for keep in (0, 1):
-        assert np.allclose(partial_trace(rho, keep, (2, 2)), I2 / 2, atol=1e-12)
 
 
 def test_single_qubit_unitary_special_points():

@@ -19,7 +19,7 @@ from entfrac.states import MAGIC, density_violations, random_unitary_pair
 
 # the density check admits trace and eigenvalue defects up to 1e-10
 EDGE = 1e-10
-# window tolerance of the campaign rows (campaign.BOUND_TOL)
+# window tolerance of the campaign rows (concurrence.BOUND_TOL)
 BOUND_TOL = 1e-9
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
