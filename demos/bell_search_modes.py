@@ -1,9 +1,8 @@
 """Compare the CHSH maximization modes and the bound 2*sqrt(2)*F.
 
 The searched settings keep each party's pair of analyzers orthogonal and
-rotate the two frames (either handedness).  Releasing that constraint buys
-a larger expression value on some states but severs the link to F, which is
-why the free search ships as a diagnostic, not a contracted mode.
+rotate the two frames (either handedness), or hold the canonical settings
+and rotate the state by local unitaries; neither exceeds 2*sqrt(2)*F.
 
 Run:  python3 demos/bell_search_modes.py
 """
@@ -11,7 +10,7 @@ Run:  python3 demos/bell_search_modes.py
 import numpy as np
 
 from entfrac import bell_canonical, bell_max, fully_entangled_fraction, random_density, werner
-from entfrac.applications import TSIRELSON, bell_max_free_angles
+from entfrac.applications import TSIRELSON
 
 states = [
     ("werner p=0.9", werner(0.9)),
@@ -24,12 +23,7 @@ for name, rho in states:
     b_can = bell_canonical(rho)
     b_ang = bell_max(rho, mode="angles")
     b_uni = bell_max(rho, mode="local_unitaries")
-    b_free = bell_max_free_angles(rho)
     print(f"\n{name}:  F = {f:.6f}, bound 2*sqrt(2)*F = {TSIRELSON * f:.6f}")
     print(f"  canonical settings      {b_can:.6f}")
     print(f"  best orthogonal frames  {b_ang:.6f}   normalized {b_ang / TSIRELSON:.6f}")
     print(f"  best local unitaries    {b_uni:.6f}   normalized {b_uni / TSIRELSON:.6f}")
-    print(f"  free four angles        {b_free:.6f}   normalized {b_free / TSIRELSON:.6f}")
-
-# the product state is the cautionary tale: four unconstrained angles reach
-# 2.0 there, and 2.0 / (2 sqrt 2) = 0.707 sails past F = 0.5

@@ -26,7 +26,7 @@ from .errors import (
     NotPsdError,
     OutOfRangeError,
 )
-from .fef import FefResult, fef_oracle_sphere, fef_oracle_unitary, fully_entangled_fraction
+from .fef import FefResult, fully_entangled_fraction
 from .optimize import SearchBudget
 from .states import (
     MAGIC,
@@ -72,8 +72,6 @@ __all__ = [
     "dense_coding_fidelity",
     "dense_coding_fidelity_d",
     "fef_numeric_d",
-    "fef_oracle_sphere",
-    "fef_oracle_unitary",
     "fiducial_gap",
     "fig2_mixture",
     "fully_entangled_fraction",

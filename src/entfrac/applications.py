@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence
+from .ddim import dense_coding_fidelity_d
 from .errors import DimensionMismatchError, IdentityCheckError, OutOfRangeError
 from .fef import fully_entangled_fraction, magic_overlap_matrix
 from .linalg import I2, X, Y, Z, kron, single_qubit_unitary
@@ -50,16 +51,11 @@ def dense_coding_fidelity(rho: np.ndarray) -> float:
 
     The sender encodes two bits by applying 1, iX, iY or iZ to their half;
     each encoded state is compared against the magic ket that a perfect
-    channel would deliver, and the four overlaps are averaged.  Collapses to
+    channel would deliver, and the four overlaps are averaged.  This is the
+    d-level simulator at d=2 with that alphabet.  Collapses to
     <Phi1|rho|Phi1>.
     """
-    rho = _require_two_qubit(rho)
-    total = 0.0
-    for enc, target in zip(_DC_ENCODINGS, MAGIC):
-        u = kron(I2, enc)
-        sent = u @ rho @ u.conj().T
-        total += float((target.conj() @ sent @ target).real)
-    return total / 4.0
+    return dense_coding_fidelity_d(_require_two_qubit(rho), _DC_ENCODINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +214,7 @@ def bell_max(rho: np.ndarray, mode: str = "angles", budget: SearchBudget | None 
     one detector stay an orthogonal pair (either handedness) and the two
     frames rotate independently, i.e. the canonical geometry with both base
     angles free.  The normalized value B/(2 sqrt 2) never exceeds the fully
-    entangled fraction.  Releasing the orthogonality constraint voids that
-    bound, see bell_max_free_angles.
+    entangled fraction.
 
     mode "local_unitaries" holds the canonical settings fixed and maximizes
     bell_canonical over conjugations of the state by seeded U1 x U2 pairs.
@@ -273,27 +268,6 @@ def bell_max(rho: np.ndarray, mode: str = "angles", budget: SearchBudget | None 
     raise OutOfRangeError(f"unknown bell_max mode {mode!r}")
 
 
-def bell_max_free_angles(rho: np.ndarray, budget: SearchBudget | None = None) -> float:
-    """Unconstrained numeric maximum of the CHSH value over all four settings.
-
-    No bound relative to the fully entangled fraction holds here: with the
-    four angles fully free, the two settings of one detector can collapse
-    onto a single direction, and any perfectly correlated state reaches the
-    local-realism bound 2 however little entanglement it has (|01><01| gives
-    2, normalized 0.707, against F = 1/2).  Kept apart from bell_max, whose
-    "angles" mode is the bounded detector-frame quantity.
-    """
-    rho = _require_two_qubit(rho)
-    budget = budget or SearchBudget()
-    t = _zx_correlations(rho)
-
-    def neg(p):
-        return -_chsh_from_zx(t, p[0], p[1], p[2], p[3])
-
-    starts = start_points([CANONICAL_ANGLES], budget.starts, budget.seed)
-    return multistart_max(neg, starts, maxiter=budget.maxiter)
-
-
 def bell_angles_analytic(rho: np.ndarray) -> float:
     """Detector-frame CHSH maximum from the singular values of the Z-X
     correlation block: sqrt(2) (s1 + s2).  Textbook singular-value criterion,
@@ -312,12 +286,19 @@ def bell_unitaries_analytic(rho: np.ndarray) -> float:
     return float(np.sqrt(2.0) * (s[0] + s[1]))
 
 
-def bell_free_angles_analytic(rho: np.ndarray) -> float:
-    """Free-settings CHSH maximum 2 ||T_zx||_F (cross-check for
-    bell_max_free_angles)."""
+def fef_correlation_form(rho: np.ndarray) -> float:
+    """Fully entangled fraction from the full correlation matrix T:
+    (1 + s1 + s2 - sgn(det T) s3)/4, with s1 >= s2 >= s3 the singular values
+    of T (Horodecki, Horodecki and Horodecki, Phys. Lett. A 222, 21 (1996);
+    Badziag et al., PRA 62, 012311 (2000)).  The 1 is Tr(rho), so the form
+    stays exact, like the magic-basis eigenvalue, on matrices that miss unit
+    trace within the density tolerance.  Shares no basis and no eigensolver
+    with the magic-basis closed form, which it cross-checks."""
     rho = _require_two_qubit(rho)
-    t = _zx_correlations(rho)
-    return float(2.0 * np.sqrt(np.sum(t * t)))
+    t = _full_correlations(rho)
+    s = np.linalg.svd(t, compute_uv=False)
+    trace = float(np.trace(rho).real)
+    return float((trace + s[0] + s[1] - np.sign(np.linalg.det(t)) * s[2]) / 4.0)
 
 
 # ---------------------------------------------------------------------------

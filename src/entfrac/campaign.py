@@ -28,7 +28,7 @@ CSV_COLUMNS = (
 )
 
 # family parameters draw from their own stream so adding a family never
-# shifts the density or unitary draws
+# shifts the density draws
 _STREAM_FAMILY = 2
 
 # campaign default: the detector-angle search lands on the analytic optimum

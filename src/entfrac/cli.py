@@ -95,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=(1, 2, 3),
         default=None,
-        help="search effort level for the numeric maximizations",
+        help="search effort (starts, step cap) of the CHSH maxima and the verify/ddim F ascent",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="verify/ddim: small sample, oracle tolerances loosened to 1e-5",
+        help="verify/ddim: small sample, numeric-search tolerances loosened to 1e-5",
     )
     return parser
 

@@ -17,27 +17,24 @@ import numpy as np
 class SearchBudget:
     """Effort knobs shared by all numeric maximizers.
 
-    ``starts`` and ``maxiter`` drive the multi-start simplex searches and
-    the polar-factor ascent of ``ddim.fef_numeric_d``, ``grid`` is the
-    hyperspherical scan resolution, ``sweeps`` caps the rotation sweeps of
-    the dependency-free symmetric eigensolver, and ``seed`` fixes the
-    start-point stream so results are reproducible.
+    ``starts`` and ``maxiter`` drive the multi-start simplex searches (the
+    CHSH maxima and the fiducial gap) and the polar-factor ascent of
+    ``ddim.fef_numeric_d``; ``seed`` fixes the start-point stream so results
+    are reproducible.
     """
 
     starts: int = 8
     maxiter: int = 150
-    grid: tuple[int, int, int] = (18, 18, 36)
-    sweeps: int = 30
     seed: int = 0
 
     @classmethod
     def from_level(cls, level: int) -> "SearchBudget":
         """Preset ladder for the command line: 1 lean, 2 default, 3 thorough."""
         if level <= 1:
-            return cls(starts=4, maxiter=80, grid=(10, 10, 20), sweeps=30)
+            return cls(starts=4, maxiter=80)
         if level == 2:
             return cls()
-        return cls(starts=16, maxiter=300, grid=(24, 24, 48), sweeps=60)
+        return cls(starts=16, maxiter=300)
 
 
 def nelder_mead(f, x0, *, step: float = 0.5, maxiter: int = 200):

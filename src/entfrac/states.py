@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import DensityMatrixError, OutOfRangeError
-from .linalg import DIM_LIMIT, hermiticity_defect, single_qubit_unitary
+from .linalg import DIM_LIMIT, hermiticity_defect
 
 _SQ2 = np.sqrt(2.0)
 
@@ -32,8 +32,8 @@ MAGIC.setflags(write=False)
 PHI1 = MAGIC[0]
 
 # Philox stream layout: key = (seed, stream * 2^56 + index), both uint64.
+# Stream 2 holds the campaign's family parameters; stream 1 is unused.
 _STREAM_DENSITY = 0
-_STREAM_UNITARY = 1
 
 #: Seeds are the first word of the Philox key: integers in [0, 2^64).
 SEED_LIMIT = 1 << 64
@@ -168,15 +168,6 @@ def fig2_mixture(seed: int, index: int) -> tuple[np.ndarray, tuple[float, float]
     return w * r + (1.0 - w) * upper_family(zeta), (w, zeta)
 
 
-def random_unitary_pair(seed: int, index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded pair of independent single-qubit unitaries (own Philox stream)."""
-    rng = _rng(seed, index, _STREAM_UNITARY)
-    u = rng.random(6)
-    ua = single_qubit_unitary(np.pi * u[0], 2 * np.pi * u[1], 2 * np.pi * u[2])
-    ub = single_qubit_unitary(np.pi * u[3], 2 * np.pi * u[4], 2 * np.pi * u[5])
-    return ua, ub
-
-
 def save_density_json(rho: np.ndarray, path: str) -> None:
     """Write a density matrix as {"dim": n, "re": [[..]], "im": [[..]]}."""
     rho = np.asarray(rho, dtype=complex)
@@ -190,6 +181,23 @@ def save_density_json(rho: np.ndarray, path: str) -> None:
         fh.write("\n")
 
 
+def _number_rows(rows, dim: int) -> np.ndarray:
+    """``rows`` as a float array, if it is a dim x dim list of JSON numbers."""
+    if not (
+        isinstance(rows, list)
+        and len(rows) == dim
+        and all(isinstance(row, list) and len(row) == dim for row in rows)
+    ):
+        raise ValueError(f"re/im must both be {dim}x{dim} arrays")
+    # bool is an int subclass, and numpy would read the string "0.25" as 0.25
+    if not all(type(x) in (int, float) for row in rows for x in row):
+        raise ValueError("re/im entries must be JSON numbers")
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"re/im entries must lie in float range: {exc}") from exc
+
+
 def load_density_json(path: str) -> np.ndarray:
     """Read and validate a density matrix from the JSON file format.
 
@@ -198,21 +206,16 @@ def load_density_json(path: str) -> np.ndarray:
     that is not a valid state.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
     if not isinstance(doc, dict) or not {"dim", "re", "im"} <= set(doc):
         raise ValueError("expected an object with keys dim, re, im")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 2:
+    if type(dim) is not int or dim < 2:
         raise ValueError(f"bad dim {dim!r}")
-    try:
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
-    except (OverflowError, TypeError) as exc:
-        # an integer beyond float range, or an entry that is no number
-        raise ValueError(f"re/im entries must be numbers in float range: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(f"re/im must both be {dim}x{dim} arrays")
-    m = re + 1j * im
+    m = _number_rows(doc["re"], dim) + 1j * _number_rows(doc["im"], dim)
     bad = density_violations(m, dim=dim)
     if bad:
         raise DensityMatrixError(bad, detail=path)

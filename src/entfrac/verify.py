@@ -17,6 +17,7 @@ from .applications import (
     bell_canonical,
     bell_chsh,
     dense_coding_fidelity,
+    fef_correlation_form,
     swapping_fidelity,
     teleportation_fidelity,
 )
@@ -29,11 +30,11 @@ from .ddim import (
     phi1_d,
     teleport_max_d,
 )
-from .fef import fef_oracle_sphere, fef_oracle_unitary, fully_entangled_fraction
+from .fef import fully_entangled_fraction
 from .optimize import SearchBudget
 from .states import density_violations, lower_family, random_density, upper_family, werner
 
-# numeric-search oracles are the slow half of the suite; they see at most
+# the numeric-search oracle is the slow part of the suite; it sees at most
 # this many states regardless of --count
 ORACLE_CAP = 50
 
@@ -75,15 +76,18 @@ def run_identity_suite(
 ) -> list[IdentityResult]:
     """Run every identity over `count` sampled states.
 
-    quick loosens the numeric-oracle tolerances to 1e-5 (the searches are
-    then allowed to run cold).  state_source overrides the sampler, which
-    is how the corrupted-input negative test gets its states in.
+    The closed-form F is checked against the exact correlation-matrix form
+    on every state, and against the polar-factor ascent ``fef_numeric_d`` at
+    ``budget`` on at most ORACLE_CAP states.  quick loosens the ascent's
+    tolerance to 1e-5 (the search is then allowed to run cold); the exact
+    form keeps 1e-12.  state_source overrides the sampler, which is how the
+    corrupted-input negative test gets its states in.
     """
     if budget is None:
         budget = SearchBudget()
     if state_source is None:
         state_source = lambda i: random_density(seed, i)
-    oracle_tol = 1e-5 if quick else None
+    oracle_tol = 1e-5 if quick else 1e-6
 
     states = [np.asarray(state_source(i), dtype=complex) for i in range(count)]
 
@@ -95,9 +99,11 @@ def run_identity_suite(
         return [validity]
     results = [validity]
 
-    dev_dense = dev_tele = dev_swap = dev_bell = 0.0
-    for rho in states:
+    fs = [fully_entangled_fraction(rho).f for rho in states]
+    dev_dense = dev_tele = dev_swap = dev_bell = dev_tform = 0.0
+    for rho, f in zip(states, fs):
         v = _phi1_overlap(rho)
+        dev_tform = max(dev_tform, abs(f - fef_correlation_form(rho)))
         dev_dense = max(dev_dense, abs(dense_coding_fidelity(rho) - v))
         dev_tele = max(dev_tele, abs(teleportation_fidelity(rho) - (1.0 + 2.0 * v) / 3.0))
         dev_swap = max(dev_swap, abs(swapping_fidelity(rho) - v))
@@ -107,19 +113,15 @@ def run_identity_suite(
     results.append(_result("swapping average equals the base bell overlap", dev_swap, 1e-12, count))
     results.append(_result("canonical bell value equals the four-term sum", dev_bell, 1e-12, count))
 
+    results.append(_result("closed-form fef matches the correlation-matrix form", dev_tform, 1e-12, count))
+
     n_oracle = min(count, ORACLE_CAP)
-    dev_sphere = dev_unitary = 0.0
-    for rho in states[:n_oracle]:
-        f = fully_entangled_fraction(rho).f
-        dev_sphere = max(dev_sphere, abs(f - fef_oracle_sphere(rho, budget)))
-        dev_unitary = max(dev_unitary, abs(f - fef_oracle_unitary(rho, budget)))
-    results.append(_result(
-        "closed-form fef matches the sphere-scan oracle",
-        dev_sphere, oracle_tol or 1e-9, n_oracle,
-    ))
+    dev_unitary = 0.0
+    for rho, f in zip(states[:n_oracle], fs):
+        dev_unitary = max(dev_unitary, abs(f - fef_numeric_d(rho, budget)))
     results.append(_result(
         "closed-form fef matches the local-unitary oracle",
-        dev_unitary, oracle_tol or 1e-6, n_oracle,
+        dev_unitary, oracle_tol, n_oracle,
     ))
 
     dev = 0.0

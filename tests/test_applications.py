@@ -9,9 +9,7 @@ from entfrac.applications import (
     bell_angles_analytic,
     bell_canonical,
     bell_chsh,
-    bell_free_angles_analytic,
     bell_max,
-    bell_max_free_angles,
     bell_unitaries_analytic,
     dense_coding_fidelity,
     fiducial_gap,
@@ -207,25 +205,6 @@ def test_bell_inequality_on_mixture_sample():
         f = fully_entangled_fraction(rho).f
         assert bell_max(rho, "angles", budget) / ROOT8 <= f + 1e-9
         assert bell_max(rho, "local_unitaries", budget) / ROOT8 <= f + 1e-9
-
-
-def test_free_angles_exceed_frame_bound_on_product_state():
-    # |01><01| is classically correlated: free settings reach the
-    # local-realism bound 2 while F stays 1/2, so the free maximum carries
-    # no F bound and lives under its own name
-    sep = ket_density([0, 1, 0, 0])
-    f = fully_entangled_fraction(sep).f
-    free = bell_max_free_angles(sep)
-    assert abs(free - 2.0) < 1e-6
-    assert free / ROOT8 > f + 0.2
-    assert bell_max(sep, "angles") / ROOT8 <= f + 1e-9
-
-
-def test_free_angles_match_analytic():
-    for i in range(15):
-        rho = random_density(53, i)
-        got = bell_max_free_angles(rho)
-        assert abs(got - bell_free_angles_analytic(rho)) < 1e-6
 
 
 def test_rotation_rows_against_conjugation():

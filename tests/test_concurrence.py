@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entfrac.concurrence import concurrence, spin_flip, window_ok
+from entfrac.ddim import haar_unitary
 from entfrac.errors import DimensionMismatchError
 from entfrac.fef import fully_entangled_fraction
 from entfrac.linalg import kron
@@ -10,7 +11,6 @@ from entfrac.states import (
     fig2_mixture,
     lower_family,
     random_density,
-    random_unitary_pair,
     upper_family,
     werner,
 )
@@ -77,8 +77,8 @@ def test_concurrence_vs_general_eigensolver():
 def test_concurrence_local_unitary_invariant():
     for i in range(30):
         rho = random_density(33, i)
-        ua, ub = random_unitary_pair(33, i)
-        u = kron(ub, ua)
+        rng = np.random.default_rng((33, i))
+        u = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
         assert abs(concurrence(u @ rho @ u.conj().T).c - concurrence(rho).c) < 1e-9
 
 

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from entfrac.ddim import entangled_ket_d
+from entfrac.applications import _full_correlations, fef_correlation_form
+from entfrac.ddim import entangled_ket_d, fef_numeric_d, haar_unitary
 from entfrac.errors import DimensionMismatchError
-from entfrac.fef import (
-    FefResult,
-    _jacobi_top,
-    fef_oracle_sphere,
-    fef_oracle_unitary,
-    fully_entangled_fraction,
-    magic_overlap_matrix,
-)
+from entfrac.fef import FefResult, fully_entangled_fraction, magic_overlap_matrix
 from entfrac.linalg import kron
-from entfrac.states import MAGIC, random_density, random_unitary_pair, werner
+from entfrac.states import MAGIC, random_density, werner
 
 BELL = np.outer(MAGIC[0], MAGIC[0].conj())
 
@@ -80,57 +74,66 @@ def test_fef_result_structure():
 def test_fef_local_unitary_invariance():
     for i in range(30):
         rho = random_density(8, i)
-        ua, ub = random_unitary_pair(8, i)
-        u = kron(ub, ua)
+        rng = np.random.default_rng((8, i))
+        u = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
         conj = u @ rho @ u.conj().T
         assert abs(
             fully_entangled_fraction(conj).f - fully_entangled_fraction(rho).f
         ) < 1e-9
 
 
-def test_jacobi_matches_library_eigensolver():
-    rng = np.random.default_rng(77)
-    for _ in range(200):
-        a = rng.standard_normal((4, 4))
-        a = (a + a.T) / 2
-        assert abs(_jacobi_top(a, 30) - np.linalg.eigvalsh(a)[-1]) < 1e-12
+def rotated_bell(seed):
+    """|Phi1> with a Haar-random unitary on one side: F = 1."""
+    w = entangled_ket_d(haar_unitary(np.random.default_rng(seed), 2))
+    return np.outer(w, w.conj())
 
 
-def test_sphere_oracle_known_states():
-    assert abs(fef_oracle_sphere(BELL) - 1.0) < 1e-9
-    assert abs(fef_oracle_sphere(np.eye(4) / 4) - 0.25) < 1e-9
+def test_correlation_form_known_states():
+    assert abs(fef_correlation_form(BELL) - 1.0) < 1e-12
+    assert abs(fef_correlation_form(np.eye(4) / 4) - 0.25) < 1e-12
+    assert abs(fef_correlation_form(werner(0.5)) - 0.625) < 1e-12
+    assert abs(fef_correlation_form(rotated_bell(40)) - 1.0) < 1e-12
 
 
-def test_sphere_oracle_agreement():
+def test_correlation_form_sign_of_det():
+    # the symmetric-subspace state (1 - |Psi-><Psi-|)/3 has T = I/3, so
+    # det T > 0 and F = 1/3; with the sign of the s3 term flipped the form
+    # would read 1/2.  A local rotation keeps det T and F but fills T in.
+    rng = np.random.default_rng(5)
+    u = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    rho = u @ ((np.eye(4) - np.outer(MAGIC[2], MAGIC[2].conj())) / 3) @ u.conj().T
+    t = _full_correlations(rho)
+    s = np.linalg.svd(t, compute_uv=False)
+    assert np.linalg.det(t) > 0.03
+    assert abs(fully_entangled_fraction(rho).f - 1.0 / 3.0) < 1e-12
+    assert abs(fef_correlation_form(rho) - 1.0 / 3.0) < 1e-12
+    assert abs((1 + s[0] + s[1] + s[2]) / 4 - 1.0 / 3.0) > 0.16
+
+
+def test_correlation_form_agreement():
     for i in range(300):
         rho = random_density(21, i)
-        assert abs(fef_oracle_sphere(rho) - fully_entangled_fraction(rho).f) < 1e-9
-
-
-def test_sphere_oracle_never_exceeds():
-    for i in range(100):
-        rho = random_density(22, i)
-        assert fef_oracle_sphere(rho) <= fully_entangled_fraction(rho).f + 1e-12
+        assert abs(fef_correlation_form(rho) - fully_entangled_fraction(rho).f) < 1e-12
 
 
 def test_entangled_ket_from_unitary():
     v = entangled_ket_d(np.eye(2))
     assert np.allclose(v, MAGIC[0])
-    ua, _ = random_unitary_pair(2)
+    ua = haar_unitary(np.random.default_rng(2), 2)
     w = entangled_ket_d(ua)
     assert np.allclose(w, kron(np.eye(2), ua) @ MAGIC[0], atol=1e-14)
 
 
 def test_unitary_oracle_known_states():
-    assert abs(fef_oracle_unitary(BELL) - 1.0) < 1e-6
-    assert abs(fef_oracle_unitary(werner(0.5)) - 0.625) < 1e-6
+    assert abs(fef_numeric_d(BELL) - 1.0) < 1e-12
+    assert abs(fef_numeric_d(werner(0.5)) - 0.625) < 1e-12
     # A locally rotated Bell state still has fraction 1.
-    ua, _ = random_unitary_pair(40)
-    w = entangled_ket_d(ua)
-    assert abs(fef_oracle_unitary(np.outer(w, w.conj())) - 1.0) < 1e-6
+    assert abs(fef_numeric_d(rotated_bell(40)) - 1.0) < 1e-12
 
 
 def test_unitary_oracle_agreement():
+    # a search never exceeds the maximum it looks for
     for i in range(40):
         rho = random_density(24, i)
-        assert abs(fef_oracle_unitary(rho) - fully_entangled_fraction(rho).f) < 1e-6
+        gap = fef_numeric_d(rho) - fully_entangled_fraction(rho).f
+        assert -1e-10 < gap <= 1e-12

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from entfrac import optimize
-from entfrac.applications import bell_max, bell_max_free_angles, fiducial_gap
+from entfrac.applications import bell_max, fiducial_gap
 from entfrac.campaign import SAMPLER_BUDGET
 from entfrac.ddim import fef_numeric_d
-from entfrac.fef import fef_oracle_unitary
 from entfrac.optimize import SearchBudget, multistart_max, nelder_mead, start_points
 from entfrac.states import random_density
 
@@ -97,8 +96,6 @@ def test_search_call_counts(simplex_calls):
     expected = [
         (lambda: bell_max(rho, "angles", budget), 10, (2, 0.5, 150)),
         (lambda: bell_max(rho, "local_unitaries", budget), 8, (6, 0.5, 300)),
-        (lambda: bell_max_free_angles(rho, budget), 8, (4, 0.5, 150)),
-        (lambda: fef_oracle_unitary(rho, budget), 8, (3, 0.4, 150)),
         (lambda: fiducial_gap(1.0, budget), 16, (6, 0.5, 300)),
         # the d-level search is a polar-factor ascent, not a simplex
         (lambda: fef_numeric_d(np.eye(4) / 4, budget), 0, None),

@@ -11,11 +11,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entfrac.applications import TSIRELSON, bell_angles_analytic, bell_unitaries_analytic
+from entfrac.applications import (
+    TSIRELSON,
+    bell_angles_analytic,
+    bell_unitaries_analytic,
+    fef_correlation_form,
+)
 from entfrac.concurrence import concurrence
+from entfrac.ddim import haar_unitary
 from entfrac.fef import fully_entangled_fraction
 from entfrac.linalg import kron, single_qubit_unitary
-from entfrac.states import MAGIC, density_violations, random_unitary_pair
+from entfrac.states import MAGIC, density_violations
 
 # the density check admits trace and eigenvalue defects up to 1e-10
 EDGE = 1e-10
@@ -35,8 +41,8 @@ def kets(draw):
 
 
 def _dress(rho, seed):
-    ua, ub = random_unitary_pair(seed)
-    u = kron(ub, ua)
+    rng = np.random.default_rng(seed)
+    u = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
     return u @ rho @ u.conj().T
 
 
@@ -82,6 +88,14 @@ def _valid(rho):
 def test_fef_within_quarter_and_one(rho):
     f = fully_entangled_fraction(_valid(rho)).f
     assert 0.25 - EDGE <= f <= 1.0 + EDGE
+
+
+@PROPERTY
+@given(states)
+def test_correlation_form_equals_fef(rho):
+    # two exact routes to F that share no basis and no eigensolver
+    rho = _valid(rho)
+    assert abs(fef_correlation_form(rho) - fully_entangled_fraction(rho).f) < 1e-12
 
 
 @PROPERTY

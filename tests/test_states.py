@@ -16,7 +16,6 @@ from entfrac.states import (
     load_density_json,
     lower_family,
     random_density,
-    random_unitary_pair,
     save_density_json,
     upper_family,
     werner,
@@ -212,13 +211,3 @@ def test_json_loader_rejects_invalid_state(tmp_path):
     with pytest.raises(DensityMatrixError) as err:
         load_density_json(p)
     assert "trace" in err.value.violations
-
-
-def test_random_unitary_pair():
-    ua, ub = random_unitary_pair(9)
-    for u in (ua, ub):
-        assert np.max(np.abs(u.conj().T @ u - I2)) < 1e-12
-    ua2, _ = random_unitary_pair(9)
-    assert np.array_equal(ua, ua2)
-    ua3, _ = random_unitary_pair(9, index=1)
-    assert not np.array_equal(ua, ua3)

@@ -13,7 +13,7 @@ def test_suite_passes_on_default_sampler():
 def test_quick_mode_loosens_oracle_tolerances():
     results = run_identity_suite(count=8, seed=1, quick=True)
     by_name = {r.name: r for r in results}
-    assert by_name["closed-form fef matches the sphere-scan oracle"].tolerance == 1e-5
+    assert by_name["closed-form fef matches the correlation-matrix form"].tolerance == 1e-12
     assert by_name["closed-form fef matches the local-unitary oracle"].tolerance == 1e-5
     assert all(r.passed for r in results)
 
@@ -21,7 +21,8 @@ def test_quick_mode_loosens_oracle_tolerances():
 def test_oracle_identities_capped():
     results = run_identity_suite(count=60, seed=2, budget=SearchBudget.from_level(1), quick=True)
     by_name = {r.name: r for r in results}
-    assert by_name["closed-form fef matches the sphere-scan oracle"].count == 50
+    assert by_name["closed-form fef matches the local-unitary oracle"].count == 50
+    assert by_name["closed-form fef matches the correlation-matrix form"].count == 60
     assert by_name["dense coding average equals the base bell overlap"].count == 60
 
 
