@@ -131,8 +131,14 @@ def test_unitary_oracle_known_states():
     assert abs(fef_numeric_d(rotated_bell(40)) - 1.0) < 1e-12
 
 
-def test_unitary_oracle_agreement():
+def test_sphere_oracle_never_exceeds():
     # a search never exceeds the maximum it looks for
+    for i in range(100):
+        rho = random_density(22, i)
+        assert fef_numeric_d(rho) <= fully_entangled_fraction(rho).f + 1e-12
+
+
+def test_unitary_oracle_agreement():
     for i in range(40):
         rho = random_density(24, i)
         gap = fef_numeric_d(rho) - fully_entangled_fraction(rho).f
